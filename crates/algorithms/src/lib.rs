@@ -46,7 +46,7 @@ mod no_sync;
 mod rbs;
 mod tree_sync;
 
-pub use dynamic_gradient::{DenseDynamicGradientNode, DynamicGradientNode, DynamicGradientParams};
+pub use dynamic_gradient::{DynamicGradientNode, DynamicGradientParams};
 pub use gradient::{GradientNode, GradientParams, GradientRateNode, GradientRateParams};
 pub use max_sync::{MaxNode, MaxParams, OffsetMaxNode, OffsetMaxParams};
 pub use no_sync::NoSyncNode;

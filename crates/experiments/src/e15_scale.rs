@@ -15,13 +15,11 @@
 //! Three claims, asserted:
 //!
 //! 1. **Coverage** — all eight algorithms complete the churned full-scale
-//!    run under the throughput knobs (adaptive super-windows + work
-//!    stealing) and report events/sec.
+//!    run on the widest shard count and report events/sec.
 //! 2. **Determinism at scale** — `DynamicGradient` produces bit-identical
 //!    observer streams (worst global skew and its instant compared by
-//!    `to_bits`) across every shard count × adaptive × stealing setting,
-//!    the same invariant `tests/shard_determinism.rs` pins on small
-//!    goldens.
+//!    `to_bits`) across every shard count, the same invariant
+//!    `tests/shard_determinism.rs` pins on small goldens.
 //! 3. **O(Σ degree) state** — peak RSS (`VmHWM`) stays orders of
 //!    magnitude below the dense-state footprint at full scale.
 
@@ -114,16 +112,9 @@ fn scale_scenario(
         .record_events(false)
 }
 
-fn run_sharded(
-    scenario: &Scenario,
-    shards: usize,
-    adaptive: bool,
-    steal: bool,
-    horizon: f64,
-) -> ScaleRun {
-    let tuned = scenario.clone().adaptive_window(adaptive).steal(steal);
-    let kind = tuned.algorithm_kind();
-    let mut sim = tuned.build_sharded_with(shards, |id, n| kind.build(id, n));
+fn run_sharded(scenario: &Scenario, shards: usize, horizon: f64) -> ScaleRun {
+    let kind = scenario.algorithm_kind();
+    let mut sim = scenario.build_sharded_with(shards, |id, n| kind.build(id, n));
     sim.set_probe_schedule(0.0, horizon / 4.0);
     let mut global = GlobalSkewObserver::new();
     let t0 = Instant::now();
@@ -162,11 +153,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
         Scale::Full => threads.clamp(2, 16),
     };
 
-    // ── Determinism matrix: DynamicGradient across shard counts × knobs.
+    // ── Determinism matrix: DynamicGradient across shard counts.
     //
-    // (1, off, off) is the reference — a single shard is the plain heap
-    // discipline — and every tuned configuration must reproduce its
-    // observer stream bit for bit.
+    // One shard is the reference, and every wider configuration must
+    // reproduce its observer stream bit for bit.
     let dyn_scenario = scale_scenario(
         dynamic_gradient(period, horizon / 4.0),
         n,
@@ -176,24 +166,17 @@ pub fn run(scale: Scale) -> Vec<Table> {
         horizon,
         42,
     );
-    let matrix: [(usize, bool, bool); 5] = [
-        (1, false, false),
-        (kmax, false, false),
-        (kmax, true, false),
-        (kmax, false, true),
-        (kmax, true, true),
-    ];
-    let mut knob_table = Table::new(
+    let mut matrix = vec![1, 2, kmax];
+    matrix.dedup();
+    let mut shard_table = Table::new(
         "e15",
         &format!(
             "Determinism at scale (churned random-geometric, n = {n}, streaming \
-             dynamic-gradient to horizon {horizon}): shard count and engine knobs \
-             never change the output"
+             dynamic-gradient to horizon {horizon}): the shard count never \
+             changes the output"
         ),
         &[
             "shards",
-            "adaptive",
-            "steal",
             "dispatched_events",
             "wall_secs",
             "events_per_sec",
@@ -203,18 +186,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
     );
     // Configurations run sequentially: each saturates the machine with
     // its own shard threads, so an outer fan-out would only oversubscribe.
-    let mut matrix_runs: Vec<((usize, bool, bool), ScaleRun)> = Vec::new();
-    for &(k, adaptive, steal) in &matrix {
-        matrix_runs.push((
-            (k, adaptive, steal),
-            run_sharded(&dyn_scenario, k, adaptive, steal, horizon),
-        ));
-    }
-    for ((k, adaptive, steal), run) in &matrix_runs {
-        knob_table.row_owned(vec![
+    let mut matrix_runs: Vec<(usize, ScaleRun)> = matrix
+        .iter()
+        .map(|&k| (k, run_sharded(&dyn_scenario, k, horizon)))
+        .collect();
+    for (k, run) in &matrix_runs {
+        shard_table.row_owned(vec![
             k.to_string(),
-            adaptive.to_string(),
-            steal.to_string(),
             run.dispatched.to_string(),
             fnum(run.wall_secs),
             fnum(run.dispatched as f64 / run.wall_secs.max(1e-9)),
@@ -229,12 +207,12 @@ pub fn run(scale: Scale) -> Vec<Table> {
         "the scale run barely ran: {} events over {n} nodes",
         reference.dispatched
     );
-    for ((k, adaptive, steal), run) in &matrix_runs[1..] {
+    for (k, run) in &matrix_runs[1..] {
         assert!(
             run.worst_skew.to_bits() == reference.worst_skew.to_bits()
                 && run.worst_at.to_bits() == reference.worst_at.to_bits(),
-            "shards={k} adaptive={adaptive} steal={steal} diverged from the \
-             single-shard run at n = {n}: worst {} @ {} vs {} @ {}",
+            "shards={k} diverged from the single-shard run at n = {n}: \
+             worst {} @ {} vs {} @ {}",
             run.worst_skew,
             run.worst_at,
             reference.worst_skew,
@@ -242,14 +220,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
         );
     }
 
-    // ── Coverage: every algorithm completes the churned run at kmax with
-    // both throughput knobs on. DynamicGradient reuses its matrix run.
+    // ── Coverage: every algorithm completes the churned run at kmax.
+    // DynamicGradient reuses its matrix run.
     let mut coverage = Table::new(
         "e15",
         &format!(
             "Every algorithm at scale (churned random-geometric, n = {n}, \
-             streaming to horizon {horizon}, shards = {kmax}, adaptive + \
-             stealing on)"
+             streaming to horizon {horizon}, shards = {kmax})"
         ),
         &[
             "algorithm",
@@ -264,11 +241,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
     for kind in catalog(period, horizon / 4.0) {
         let name = kind.name();
         let run = if name == dyn_name {
-            let ((_, _, _), run) = matrix_runs.pop().expect("matrix ran");
+            let (_, run) = matrix_runs.pop().expect("matrix ran");
             run
         } else {
             let scenario = scale_scenario(kind, n, extent, radius, period, horizon, 42);
-            run_sharded(&scenario, kmax, true, true, horizon)
+            run_sharded(&scenario, kmax, horizon)
         };
         // Every algorithm must genuinely run; NoSync still dispatches its
         // n Start events plus the probe grid.
@@ -302,7 +279,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         }
     }
 
-    vec![knob_table, coverage]
+    vec![shard_table, coverage]
 }
 
 #[cfg(test)]
@@ -312,11 +289,11 @@ mod tests {
     #[test]
     fn quick_scale_is_deterministic_across_shard_counts() {
         // The in-experiment assertions do the heavy lifting; this pins
-        // the quick configuration's shape: one knob-matrix table (5
-        // configurations) plus one coverage table (8 algorithms).
+        // the quick configuration's shape: one shard-count table (1, 2
+        // and 4 shards) plus one coverage table (8 algorithms).
         let tables = run(Scale::Quick);
         assert_eq!(tables.len(), 2);
-        assert_eq!(tables[0].rows().len(), 5);
+        assert_eq!(tables[0].rows().len(), 3);
         assert_eq!(tables[1].rows().len(), 8);
     }
 

@@ -121,6 +121,7 @@
 #![warn(missing_docs)]
 
 pub mod calendar;
+mod core;
 mod engine;
 mod event;
 mod execution;

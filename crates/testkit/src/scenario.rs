@@ -81,8 +81,6 @@ pub struct Scenario {
     seed: u64,
     horizon: f64,
     record: bool,
-    adaptive_window: bool,
-    steal: bool,
 }
 
 impl Scenario {
@@ -107,8 +105,6 @@ impl Scenario {
             seed: 1,
             horizon: 100.0,
             record: true,
-            adaptive_window: false,
-            steal: false,
         }
     }
 
@@ -281,24 +277,6 @@ impl Scenario {
     #[must_use]
     pub fn record_events(mut self, record: bool) -> Self {
         self.record = record;
-        self
-    }
-
-    /// Enables adaptive super-window batching on the sharded runs (see
-    /// [`gcs_sim::SimulationBuilder::adaptive_window`]); the single-heap
-    /// paths ignore it. Executions stay bit-identical either way.
-    #[must_use]
-    pub fn adaptive_window(mut self, enabled: bool) -> Self {
-        self.adaptive_window = enabled;
-        self
-    }
-
-    /// Enables work stealing across shards on the sharded runs (see
-    /// [`gcs_sim::SimulationBuilder::steal`]); the single-heap paths
-    /// ignore it. Executions stay bit-identical either way.
-    #[must_use]
-    pub fn steal(mut self, enabled: bool) -> Self {
-        self.steal = enabled;
         self
     }
 
@@ -556,8 +534,6 @@ impl Scenario {
             .record_events(self.record)
             .delay_policy_boxed(self.delay_policy())
             .shards(k)
-            .adaptive_window(self.adaptive_window)
-            .steal(self.steal)
             .build_sharded_with(make)
             .unwrap_or_else(|e| panic!("scenario `{}` failed to build sharded: {e}", self.name))
     }

@@ -1,18 +1,15 @@
 //! The sparse/dense equivalence contract for `DynamicGradientNode`: the
 //! O(degree) sparse neighbor-state map must produce executions
-//! **bit-identical** to the retained dense O(n) reference
-//! (`DenseDynamicGradientNode`) across churned scenarios — flap,
-//! partition-heal, grow, shrink — on both engines, at every shard count
-//! and engine-knob setting. The sparse layout is what lets the 100k-node
-//! scale runs (E15) carry this algorithm at all; this file is what keeps
-//! it honest.
+//! **bit-identical** to a dense O(n) reference (`DenseDynamicGradientNode`,
+//! defined here) across churned scenarios — flap, partition-heal, grow,
+//! shrink — on both engines, at every shard count. The sparse layout is
+//! what lets the 100k-node scale runs (E15) carry this algorithm at all;
+//! this file is what keeps it honest.
 
 use gcs_testkit::prelude::*;
-use gradient_clock_sync::algorithms::{
-    DenseDynamicGradientNode, DynamicGradientNode, DynamicGradientParams, SyncMsg,
-};
+use gradient_clock_sync::algorithms::{DynamicGradientNode, DynamicGradientParams, SyncMsg};
 use gradient_clock_sync::dynamic::ChurnSchedule;
-use gradient_clock_sync::sim::Execution;
+use gradient_clock_sync::sim::{Context, Execution, Node, NodeId, TimerId};
 use proptest::prelude::*;
 
 const PARAMS: DynamicGradientParams = DynamicGradientParams {
@@ -21,6 +18,74 @@ const PARAMS: DynamicGradientParams = DynamicGradientParams {
     kappa_weak: 6.0,
     window: 20.0,
 };
+
+/// The dense reference: the same weak/strong discipline as
+/// `DynamicGradientNode` over a per-node `Vec<Option<f64>>` of length
+/// `n` — O(n) state per node, O(n²) fleet-wide — with its own κ
+/// interpolation, so the sparse node's helper is checked, not shared.
+#[derive(Debug, Clone)]
+struct DenseDynamicGradientNode {
+    params: DynamicGradientParams,
+    /// Per-peer hardware time the current link formed; `None` while the
+    /// link is down. `NEG_INFINITY` marks links live since startup.
+    formed_hw: Vec<Option<f64>>,
+}
+
+impl DenseDynamicGradientNode {
+    /// A reference node for a network of `n` nodes, rejecting exactly the
+    /// parameters `DynamicGradientNode::new` rejects.
+    fn new(n: usize, params: DynamicGradientParams) -> Self {
+        let _ = DynamicGradientNode::new(params);
+        Self {
+            params,
+            formed_hw: vec![None; n],
+        }
+    }
+
+    /// `kappa_weak` at age 0, tightening linearly to `kappa_strong` at
+    /// `age >= window`; `max`/`min` rather than `clamp` so that a zero
+    /// slope against an infinitely old link (`0 · ∞ = NaN`) still lands
+    /// on the tier.
+    fn kappa(&self, age: f64) -> f64 {
+        let p = &self.params;
+        let slope = (p.kappa_weak - p.kappa_strong) / p.window;
+        (p.kappa_weak - slope * age)
+            .max(p.kappa_strong)
+            .min(p.kappa_weak)
+    }
+}
+
+impl Node<SyncMsg> for DenseDynamicGradientNode {
+    fn on_start(&mut self, ctx: &mut Context<'_, SyncMsg>) {
+        for &peer in ctx.neighbors() {
+            self.formed_hw[peer] = Some(f64::NEG_INFINITY);
+        }
+        ctx.set_timer(self.params.period);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, SyncMsg>, _timer: TimerId) {
+        let value = ctx.logical_now();
+        ctx.send_to_neighbors(&SyncMsg::Clock(value));
+        ctx.set_timer(self.params.period);
+    }
+
+    fn on_topology_change(&mut self, ctx: &mut Context<'_, SyncMsg>, peer: NodeId, up: bool) {
+        self.formed_hw[peer] = if up { Some(ctx.hw_now()) } else { None };
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_, SyncMsg>, from: NodeId, msg: &SyncMsg) {
+        if let SyncMsg::Clock(value) = msg {
+            let age = match self.formed_hw[from] {
+                Some(formed) => ctx.hw_now() - formed,
+                None => 0.0,
+            };
+            let target = value - self.kappa(age) * ctx.distance_to(from);
+            if target > ctx.logical_now() {
+                ctx.set_logical(target);
+            }
+        }
+    }
+}
 
 /// The churn families the dynamic-network algorithm must survive.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,33 +159,27 @@ proptest! {
         assert_bit_identical(&dense, &sparse);
     }
 
-    // Sharded engine, across shard counts and both engine knobs: the
-    // sparse node on the tuned parallel engine still reproduces the
-    // dense reference on the single heap, bit for bit.
+    // Sharded engine, across shard counts: the sparse node on the
+    // parallel engine still reproduces the dense reference on the single
+    // heap, bit for bit.
     #[test]
-    fn sparse_matches_dense_across_shards_and_knobs(
+    fn sparse_matches_dense_across_shards(
         family in family_strategy(),
         seed in 1u64..10_000,
         shards in (0usize..3).prop_map(|i| [2usize, 3, 8][i]),
-        adaptive in proptest::bool::ANY,
-        steal in proptest::bool::ANY,
     ) {
-        let scenario = churned_scenario(family, seed)
-            .adaptive_window(adaptive)
-            .steal(steal);
+        let scenario = churned_scenario(family, seed);
         let dense = dense_run(&scenario);
         let sparse =
             scenario.run_sharded_with(shards, |_, _| DynamicGradientNode::new(PARAMS));
         prop_assert_eq!(
             fingerprint(&dense),
             fingerprint(&sparse),
-            "family {:?} seed {} shards {} adaptive {} steal {}: sharded sparse \
-             diverged from the single-heap dense reference",
+            "family {:?} seed {} shards {}: sharded sparse diverged from the \
+             single-heap dense reference",
             family,
             seed,
-            shards,
-            adaptive,
-            steal
+            shards
         );
         assert_bit_identical(&dense, &sparse);
     }
@@ -136,9 +195,7 @@ fn every_family_matches_once() {
         ChurnFamily::Grow,
         ChurnFamily::Shrink,
     ] {
-        let scenario = churned_scenario(family, 7)
-            .adaptive_window(true)
-            .steal(true);
+        let scenario = churned_scenario(family, 7);
         let dense = dense_run(&scenario);
         assert_bit_identical(&dense, &sparse_run(&scenario));
         assert_bit_identical(
@@ -146,4 +203,18 @@ fn every_family_matches_once() {
             &scenario.run_sharded_with(4, |_, _| DynamicGradientNode::new(PARAMS)),
         );
     }
+}
+
+#[test]
+#[should_panic(expected = "kappa_weak must be at least kappa_strong")]
+fn dense_reference_validates_identically() {
+    let _ = DenseDynamicGradientNode::new(
+        2,
+        DynamicGradientParams {
+            period: 1.0,
+            kappa_strong: 1.0,
+            kappa_weak: 0.5,
+            window: 10.0,
+        },
+    );
 }

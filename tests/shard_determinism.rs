@@ -1,21 +1,16 @@
 //! The sharded engine's determinism contract: for every shard count
-//! `k ≥ 1` and every engine-knob setting — adaptive super-windows on or
-//! off × work stealing on or off — the conservative-window parallel
-//! engine produces executions **bit-identical** to the single-heap
-//! engine — same events, same messages, same trajectories, same
-//! schedules — on every committed golden scenario. This is the invariant
-//! the `shard-determinism` CI job pins: shard count and the throughput
-//! knobs trade wall-clock for thread count, never output.
+//! `k ≥ 1` the conservative-window parallel engine produces executions
+//! **bit-identical** to the single-heap engine — same events, same
+//! messages, same trajectories, same schedules — on every committed
+//! golden scenario, and it enforces the same global event cap. This is
+//! the invariant the `shard-determinism` CI job pins: the shard count
+//! trades wall-clock for thread count, never output.
 
 use gcs_testkit::prelude::*;
 use gradient_clock_sync::algorithms::AlgorithmKind;
 use gradient_clock_sync::dynamic::ChurnSchedule;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// Every (adaptive super-windows, work stealing) combination; both off is
-/// the per-window PR 9 protocol the goldens were recorded under.
-const KNOBS: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
 
 /// The canonical stochastic line scenario of the determinism goldens.
 fn stochastic_line(kind: AlgorithmKind, seed: u64) -> Scenario {
@@ -64,23 +59,19 @@ fn churned_geometric() -> Scenario {
         .horizon(80.0)
 }
 
-/// Every shard count × knob setting must reproduce the single-heap
-/// execution of `scenario` bit-for-bit.
+/// Every shard count must reproduce the single-heap execution of
+/// `scenario` bit-for-bit.
 fn assert_shard_invariant(scenario: &Scenario) {
     let reference = scenario.run();
     for k in SHARD_COUNTS {
-        for (adaptive, steal) in KNOBS {
-            let tuned = scenario.clone().adaptive_window(adaptive).steal(steal);
-            let sharded = tuned.run_sharded(k);
-            assert_eq!(
-                fingerprint(&reference),
-                fingerprint(&sharded),
-                "scenario `{}`: shards={k} adaptive={adaptive} steal={steal} \
-                 diverged from the single-heap engine",
-                scenario.name()
-            );
-            assert_bit_identical(&reference, &sharded);
-        }
+        let sharded = scenario.run_sharded(k);
+        assert_eq!(
+            fingerprint(&reference),
+            fingerprint(&sharded),
+            "scenario `{}`: shards={k} diverged from the single-heap engine",
+            scenario.name()
+        );
+        assert_bit_identical(&reference, &sharded);
     }
 }
 
@@ -112,30 +103,27 @@ fn sharded_matches_committed_goldens() {
     // count must reproduce their bytes. Regenerate intentionally with:
     // GCS_BLESS=1 cargo test -q
     for k in SHARD_COUNTS {
-        for (adaptive, steal) in KNOBS {
-            let tune = |s: Scenario| s.adaptive_window(adaptive).steal(steal);
-            assert_matches_golden(
-                &tune(stochastic_line(AlgorithmKind::Max { period: 1.0 }, 99)).run_sharded(k),
-                concat!(
-                    env!("CARGO_MANIFEST_DIR"),
-                    "/tests/golden/line6_max_seed99.snap"
-                ),
-            );
-            assert_matches_golden(
-                &tune(flapping_ring(7)).run_sharded(k),
-                concat!(
-                    env!("CARGO_MANIFEST_DIR"),
-                    "/tests/golden/ring8_flap10_dyngradient_seed7.snap"
-                ),
-            );
-            assert_matches_golden(
-                &tune(churned_geometric()).run_sharded(k),
-                concat!(
-                    env!("CARGO_MANIFEST_DIR"),
-                    "/tests/golden/rgg24_churn_seed21.snap"
-                ),
-            );
-        }
+        assert_matches_golden(
+            &stochastic_line(AlgorithmKind::Max { period: 1.0 }, 99).run_sharded(k),
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/golden/line6_max_seed99.snap"
+            ),
+        );
+        assert_matches_golden(
+            &flapping_ring(7).run_sharded(k),
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/golden/ring8_flap10_dyngradient_seed7.snap"
+            ),
+        );
+        assert_matches_golden(
+            &churned_geometric().run_sharded(k),
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/golden/rgg24_churn_seed21.snap"
+            ),
+        );
     }
 }
 
@@ -160,27 +148,75 @@ fn sharded_streaming_observers_match_single_heap_observers() {
     sim.run_until_observed(160.0, &mut [&mut single]);
 
     for k in SHARD_COUNTS {
-        for (adaptive, steal) in KNOBS {
-            // Streaming + adaptive is the risky pairing (compaction and
-            // replay deferred across super-window boundaries), so the
-            // observer stream is checked under every knob setting.
-            let tuned = scenario.clone().adaptive_window(adaptive).steal(steal);
-            let mut sharded = GlobalSkewObserver::new();
-            let mut sim = tuned.build_sharded_with(k, |id, n| tuned.algorithm_kind().build(id, n));
-            sim.set_probe_schedule(0.0, 5.0);
-            sim.run_until_observed(160.0, &mut [&mut sharded]);
-            assert_eq!(
-                single.worst().to_bits(),
-                sharded.worst().to_bits(),
-                "shards={k} adaptive={adaptive} steal={steal}: observed worst \
-                 global skew diverged"
-            );
-            assert_eq!(
-                single.worst_at().to_bits(),
-                sharded.worst_at().to_bits(),
-                "shards={k} adaptive={adaptive} steal={steal}: observed \
-                 worst-skew instant diverged"
-            );
-        }
+        let mut sharded = GlobalSkewObserver::new();
+        let mut sim =
+            scenario.build_sharded_with(k, |id, n| scenario.algorithm_kind().build(id, n));
+        sim.set_probe_schedule(0.0, 5.0);
+        sim.run_until_observed(160.0, &mut [&mut sharded]);
+        assert_eq!(
+            single.worst().to_bits(),
+            sharded.worst().to_bits(),
+            "shards={k}: observed worst global skew diverged"
+        );
+        assert_eq!(
+            single.worst_at().to_bits(),
+            sharded.worst_at().to_bits(),
+            "shards={k}: observed worst-skew instant diverged"
+        );
+    }
+}
+
+/// The event cap bounds the *global* dispatched count. The repro run
+/// dispatches 472 events; capped one below that, every shard count must
+/// panic with the single heap's message (same cap, same instant), and
+/// capped at exactly 472 every shard count must complete.
+#[test]
+fn sharded_event_cap_is_global() {
+    use gradient_clock_sync::net::{Topology, UniformDelay};
+    use gradient_clock_sync::sim::SimulationBuilder;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let kind = AlgorithmKind::Max { period: 1.0 };
+    let builder = |cap: u64| {
+        SimulationBuilder::new(Topology::ring(8))
+            .delay_policy(UniformDelay::new(0.25, 0.75, 3))
+            .event_cap(cap)
+    };
+    let panic_message = |run: &dyn Fn()| -> String {
+        let payload = catch_unwind(AssertUnwindSafe(run)).expect_err("the capped run must panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    };
+
+    let full = builder(u64::MAX)
+        .build_with(|id, n| kind.build(id, n))
+        .unwrap()
+        .execute_until(20.0);
+    assert_eq!(full.events().len(), 472);
+    let heap = panic_message(&|| {
+        let _ = builder(471)
+            .build_with(|id, n| kind.build(id, n))
+            .unwrap()
+            .execute_until(20.0);
+    });
+    assert!(heap.contains("event cap of 471 exceeded"), "{heap}");
+
+    for k in [1, 2, 4] {
+        let sharded = panic_message(&|| {
+            builder(471)
+                .shards(k)
+                .build_sharded_with(|id, n| kind.build(id, n))
+                .unwrap()
+                .run_until(20.0);
+        });
+        assert_eq!(sharded, heap, "shards={k}");
+        let mut at_cap = builder(472)
+            .shards(k)
+            .build_sharded_with(|id, n| kind.build(id, n))
+            .unwrap();
+        at_cap.run_until(20.0);
+        assert_eq!(at_cap.dispatched(), 472, "shards={k}");
     }
 }
