@@ -17,6 +17,10 @@
 //! per line) so the checker needs no JSON library and diffs stay
 //! readable.
 //!
+//! The `engine/singleheap_rgg*_ns_per_event` rows divide each sample by
+//! the run's dispatched events; one 10k-node iteration costs seconds, so
+//! that row stops at the sampling budget after three samples.
+//!
 //! Three row families are measured outside the tracked list:
 //!
 //! - `profile/*`: per-phase engine timings, informational (absent from
@@ -40,8 +44,15 @@ use gcs_bench::{tracked, workloads};
 /// `GCS_BENCH_SAMPLES`.
 const DEFAULT_SAMPLES: usize = 7;
 const WARM_UP: Duration = Duration::from_millis(100);
+/// A row stops sampling once its samples have taken this long, after at
+/// least [`MIN_SAMPLES`], so a scale row whose one iteration costs
+/// seconds gets three samples instead of seven.
+const SAMPLE_BUDGET: Duration = Duration::from_secs(5);
+const MIN_SAMPLES: usize = 3;
 
-fn measure(run: fn(), samples: usize) -> f64 {
+/// Median nanoseconds per iteration of `run`, divided by the count each
+/// iteration returns (see `gcs_bench::tracked::TrackedBench::run`).
+fn measure(run: fn() -> u64, samples: usize) -> f64 {
     // Warm-up: at least one full iteration, until the budget is spent.
     let warm_start = Instant::now();
     loop {
@@ -50,13 +61,14 @@ fn measure(run: fn(), samples: usize) -> f64 {
             break;
         }
     }
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            run();
-            start.elapsed().as_secs_f64() * 1e9
-        })
-        .collect();
+    let sampling = Instant::now();
+    let mut times: Vec<f64> = Vec::with_capacity(samples);
+    while times.len() < samples && (times.len() < MIN_SAMPLES || sampling.elapsed() < SAMPLE_BUDGET)
+    {
+        let start = Instant::now();
+        let count = run();
+        times.push(start.elapsed().as_secs_f64() * 1e9 / count.max(1) as f64);
+    }
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
 }

@@ -43,6 +43,7 @@ pub mod workloads {
 
     use gcs_algorithms::AlgorithmKind;
     use gcs_clocks::{drift::DriftModel, DriftBound, LazyDriftSource, RateSchedule, TimeWarp};
+    use gcs_core::lower_bound::{MainTheorem, MainTheoremConfig};
     use gcs_core::retiming::{Retiming, RetimingReport};
     use gcs_dynamic::{ChurnSchedule, DynamicTopology};
     use gcs_net::{Topology, UniformDelay};
@@ -278,31 +279,67 @@ pub mod workloads {
         sim.stats().dispatched
     }
 
-    /// The E15-scale workload: a churned random-geometric network streamed
-    /// through the sharded engine (constant spread rates so the clock
-    /// source forks O(1) state per shard). Returns the dispatched-event
-    /// count, so callers can report ns/event rather than ns/run.
-    #[must_use]
-    pub fn sharded_rgg_run(n: usize, shards: usize) -> u64 {
-        // Mirrors experiment E15's full-scale geometry: `random_geometric`
-        // normalizes the closest pair to distance 1, so the radius, the
-        // broadcast period, and the horizon are sized in those units.
-        let (extent, radius, period, horizon, seed) = (1000.0, 500.0, 40.0, 200.0, 42);
+    /// Experiment E15's churned random-geometric network at `n` nodes,
+    /// streaming, with constant spread rates (so a sharded clock source
+    /// forks O(1) state per shard). `random_geometric` normalizes the
+    /// closest pair to distance 1, so the radius, the broadcast period
+    /// and the horizon are sized in those units.
+    fn rgg_churn(n: usize) -> SimulationBuilder {
+        let (extent, radius, seed) = (1000.0, 500.0, 42);
         let view = DynamicTopology::new(
             Topology::random_geometric(n, extent, radius, seed),
-            ChurnSchedule::periodic_flap(0, 1, period, horizon),
+            ChurnSchedule::periodic_flap(0, 1, RGG_PERIOD, RGG_HORIZON),
         )
         .expect("valid churn");
         let rho = DriftBound::new(0.01).expect("valid rho");
-        let mut sim = SimulationBuilder::new_dynamic(view)
+        SimulationBuilder::new_dynamic(view)
             .schedules(gcs_clocks::drift::spread_rates(rho, n))
             .delay_policy(UniformDelay::new(0.3, 0.9, seed))
             .record_events(false)
-            .shards(shards)
-            .build_sharded_with(|id, nn| AlgorithmKind::Max { period }.build(id, nn))
+    }
+
+    /// Broadcast period and horizon of the [`rgg_churn`] workloads.
+    const RGG_PERIOD: f64 = 40.0;
+    const RGG_HORIZON: f64 = 200.0;
+
+    /// The E15 workload at `n` nodes through the single-heap engine.
+    /// Returns the dispatched-event count, so callers can report ns/event
+    /// rather than ns/run.
+    #[must_use]
+    pub fn singleheap_rgg_run(n: usize) -> u64 {
+        let mut sim = rgg_churn(n)
+            .build_with(|id, nn| AlgorithmKind::Max { period: RGG_PERIOD }.build(id, nn))
             .unwrap();
-        sim.run_until(horizon);
+        sim.run_until(RGG_HORIZON);
+        sim.stats().dispatched
+    }
+
+    /// The E15 workload at `n` nodes through the sharded engine at the
+    /// given shard count. Returns the dispatched-event count.
+    #[must_use]
+    pub fn sharded_rgg_run(n: usize, shards: usize) -> u64 {
+        let mut sim = rgg_churn(n)
+            .shards(shards)
+            .build_sharded_with(|id, nn| AlgorithmKind::Max { period: RGG_PERIOD }.build(id, nn))
+            .unwrap();
+        sim.run_until(RGG_HORIZON);
         sim.dispatched()
+    }
+
+    /// Theorem 8.1's construction (`MainTheoremConfig::practical`, ρ =
+    /// 0.5) on a line of `n` nodes against max-sync, with every round's
+    /// replayed prefix checked for exactness. Returns the number of rounds.
+    #[must_use]
+    pub fn main_theorem_run(n: usize) -> usize {
+        let rho = DriftBound::new(0.5).expect("valid rho");
+        let report = MainTheorem::new(MainTheoremConfig::practical(n, rho))
+            .run(|id, nn| AlgorithmKind::Max { period: 1.0 }.build(id, nn))
+            .expect("the construction runs");
+        assert!(
+            report.rounds.iter().all(|r| r.prefix_ok),
+            "a replayed prefix diverged from its prediction"
+        );
+        report.rounds.len()
     }
 
     /// A nominal-rate max-sync run on a line of `n` — the retiming
@@ -532,8 +569,10 @@ pub mod tracked {
     pub struct TrackedBench {
         /// Stable identifier (`suite/name`), the JSON key.
         pub id: &'static str,
-        /// One iteration of the workload.
-        pub run: fn(),
+        /// One iteration of the workload, returning the count the row's
+        /// time is divided by: the dispatched events for an
+        /// `_ns_per_event` row, 1 for every other row.
+        pub run: fn() -> u64,
     }
 
     /// Every tracked benchmark, in reporting order. Keep ids stable:
@@ -546,6 +585,7 @@ pub mod tracked {
                 id: "substrate/engine_line64_max_100t",
                 run: || {
                     std::hint::black_box(workloads::line_max_run(64, 100.0));
+                    1
                 },
             },
             TrackedBench {
@@ -553,36 +593,50 @@ pub mod tracked {
                 run: || {
                     let schedule = workloads::dense_schedule();
                     std::hint::black_box(workloads::schedule_math_batch(&schedule, 10_000));
+                    1
                 },
             },
             TrackedBench {
                 id: "engine/singleheap_ring64_100t",
                 run: || {
                     std::hint::black_box(workloads::singleheap_ring_run(64, 100.0));
+                    1
                 },
+            },
+            TrackedBench {
+                id: "engine/singleheap_rgg1k_ns_per_event",
+                run: || workloads::singleheap_rgg_run(1_000),
+            },
+            TrackedBench {
+                id: "engine/singleheap_rgg10k_ns_per_event",
+                run: || workloads::singleheap_rgg_run(10_000),
             },
             TrackedBench {
                 id: "engine/sharded_ring64_k4_100t",
                 run: || {
                     std::hint::black_box(workloads::sharded_ring_run(64, 100.0, 4));
+                    1
                 },
             },
             TrackedBench {
                 id: "algorithms/dynamic_gradient_sparse_ring64_200t",
                 run: || {
                     std::hint::black_box(workloads::dynamic_gradient_sparse_run(64, 200.0));
+                    1
                 },
             },
             TrackedBench {
                 id: "observers/streaming_ring32_200t",
                 run: || {
                     std::hint::black_box(workloads::streaming_ring_metrics(32, 200.0));
+                    1
                 },
             },
             TrackedBench {
                 id: "observers/recorded_posthoc_ring32_200t",
                 run: || {
                     std::hint::black_box(workloads::recorded_ring_metrics(32, 200.0));
+                    1
                 },
             },
             TrackedBench {
@@ -595,18 +649,28 @@ pub mod tracked {
                         7,
                     );
                     std::hint::black_box(workloads::dynamic_ring_run(16, 100.0, Some(churn)));
+                    1
                 },
             },
             TrackedBench {
                 id: "clocks/lazy_streaming_ring16_1000t",
                 run: || {
                     std::hint::black_box(workloads::lazy_streaming_ring(16, 1000.0));
+                    1
                 },
             },
             TrackedBench {
                 id: "clocks/eager_streaming_ring16_1000t",
                 run: || {
                     std::hint::black_box(workloads::eager_streaming_ring(16, 1000.0));
+                    1
+                },
+            },
+            TrackedBench {
+                id: "core/main_theorem_line65",
+                run: || {
+                    std::hint::black_box(workloads::main_theorem_run(65));
+                    1
                 },
             },
             TrackedBench {
@@ -614,6 +678,7 @@ pub mod tracked {
                 run: || {
                     let exec = workloads::nominal_line_run(32, 200.0);
                     std::hint::black_box(workloads::static_retiming_apply_validate(&exec));
+                    1
                 },
             },
             TrackedBench {
@@ -621,18 +686,21 @@ pub mod tracked {
                 run: || {
                     let exec = workloads::nominal_churned_ring_run(16, 200.0);
                     std::hint::black_box(workloads::dynamic_retiming_apply_validate(&exec));
+                    1
                 },
             },
             TrackedBench {
                 id: "serving/seal_ring16_200t",
                 run: || {
                     std::hint::black_box(workloads::serving_seal_run(16, 200.0));
+                    1
                 },
             },
             TrackedBench {
                 id: "serving/wire_roundtrip_100k",
                 run: || {
                     std::hint::black_box(workloads::serving_frame_batch(16, 100_000));
+                    1
                 },
             },
         ]
@@ -650,6 +718,15 @@ pub mod tracked {
             ids.sort_unstable();
             ids.dedup();
             assert_eq!(ids.len(), benches.len(), "duplicate tracked bench id");
+        }
+
+        #[test]
+        fn per_event_rows_count_dispatched_events() {
+            let row = all()
+                .into_iter()
+                .find(|b| b.id == "engine/singleheap_rgg1k_ns_per_event")
+                .expect("the 1k scale row is tracked");
+            assert!((row.run)() > 1_000, "fewer than one event per node");
         }
     }
 }

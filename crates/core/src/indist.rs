@@ -18,7 +18,7 @@
 
 use std::fmt;
 
-use gcs_sim::{EventKind, Execution, NodeId};
+use gcs_sim::{EventKind, EventRecord, Execution, NodeId};
 
 /// A witnessed difference between two executions' observation sequences.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,20 +67,130 @@ impl fmt::Display for Distinction {
     }
 }
 
-/// Sorts each maximal run of bitwise-equal hardware readings by the
-/// canonical event tie key: the node observes such a run as one
-/// simultaneous batch, so its internal order carries no information.
-fn canonicalize(obs: &mut [(f64, EventKind)], node: NodeId) {
-    let mut start = 0;
-    while start < obs.len() {
-        let hw = obs[start].0.to_bits();
-        let mut end = start + 1;
-        while end < obs.len() && obs[end].0.to_bits() == hw {
-            end += 1;
+/// Every node's events in one execution, as indices into
+/// [`Execution::events`] grouped by node in dispatch order. One O(E) pass
+/// builds it, where one [`Execution::observations`] call per node scans
+/// every event once per node.
+pub(crate) struct NodeEvents<'a> {
+    events: &'a [EventRecord],
+    /// Node `i`'s events are `order[starts[i]..starts[i + 1]]`.
+    starts: Vec<usize>,
+    order: Vec<u32>,
+}
+
+impl<'a> NodeEvents<'a> {
+    pub(crate) fn new<M>(exec: &'a Execution<M>) -> Self {
+        let events = exec.events();
+        let mut starts = vec![0; exec.node_count() + 1];
+        for e in events {
+            starts[e.node + 1] += 1;
         }
-        obs[start..end].sort_by_key(|(_, kind)| kind.tie_key(node));
-        start = end;
+        for i in 1..starts.len() {
+            starts[i] += starts[i - 1];
+        }
+        let mut next = starts.clone();
+        let mut order = vec![0; events.len()];
+        for (i, e) in events.iter().enumerate() {
+            order[next[e.node]] =
+                u32::try_from(i).expect("an execution holds fewer than 2^32 events");
+            next[e.node] += 1;
+        }
+        Self {
+            events,
+            starts,
+            order,
+        }
     }
+
+    fn range(&self, node: NodeId) -> std::ops::Range<usize> {
+        match (self.starts.get(node), self.starts.get(node + 1)) {
+            (Some(&lo), Some(&hi)) => lo..hi,
+            _ => 0..0,
+        }
+    }
+
+    /// Node `node`'s events in order: its observation sequence.
+    pub(crate) fn of(&self, node: NodeId) -> impl ExactSizeIterator<Item = &'a EventRecord> + '_ {
+        self.order[self.range(node)]
+            .iter()
+            .map(|&i| &self.events[i as usize])
+    }
+
+    /// The number of node `node`'s events strictly before real time `t`
+    /// (as [`Execution::observation_count_before`]).
+    pub(crate) fn count_before(&self, node: NodeId, t: f64) -> usize {
+        self.of(node).filter(|e| e.time < t).count()
+    }
+
+    /// Sorts each maximal run of bitwise-equal hardware readings by the
+    /// canonical event tie key: the node observes such a run as one
+    /// simultaneous batch, so its internal order carries no information.
+    fn canonicalized(mut self) -> Self {
+        let events = self.events;
+        for node in 0..self.starts.len() - 1 {
+            let range = self.range(node);
+            let obs = &mut self.order[range];
+            let mut start = 0;
+            while start < obs.len() {
+                let hw = events[obs[start] as usize].hw.to_bits();
+                let mut end = start + 1;
+                while end < obs.len() && events[obs[end] as usize].hw.to_bits() == hw {
+                    end += 1;
+                }
+                obs[start..end].sort_by_key(|&i| events[i as usize].kind.tie_key(node));
+                start = end;
+            }
+        }
+        self
+    }
+}
+
+/// Compares the canonicalized observation sequences of every node. With
+/// `prefix`, `a`'s sequences need only be prefixes of `b`'s.
+fn compare<M1, M2>(
+    a: &Execution<M1>,
+    b: &Execution<M2>,
+    tolerance: f64,
+    prefix: bool,
+) -> Vec<Distinction> {
+    let (ia, ib) = (
+        NodeEvents::new(a).canonicalized(),
+        NodeEvents::new(b).canonicalized(),
+    );
+    let mut out = Vec::new();
+    let n = a.node_count().min(b.node_count());
+    for node in 0..n {
+        let (left, right) = (ia.of(node).len(), ib.of(node).len());
+        if left > right || (!prefix && left < right) {
+            out.push(Distinction {
+                node,
+                index: left.min(right),
+                detail: DistinctionDetail::LengthMismatch { left, right },
+            });
+        }
+        for (index, (ea, eb)) in ia.of(node).zip(ib.of(node)).enumerate() {
+            if ea.kind != eb.kind {
+                out.push(Distinction {
+                    node,
+                    index,
+                    detail: DistinctionDetail::KindMismatch {
+                        left: ea.kind.clone(),
+                        right: eb.kind.clone(),
+                    },
+                });
+            } else if (ea.hw - eb.hw).abs() > tolerance {
+                out.push(Distinction {
+                    node,
+                    index,
+                    detail: DistinctionDetail::HwMismatch {
+                        left: ea.hw,
+                        right: eb.hw,
+                    },
+                });
+            }
+        }
+    }
+    out
 }
 
 /// Compares observation sequences of every node. Returns all distinctions
@@ -94,46 +204,7 @@ pub fn distinctions<M1, M2>(
     b: &Execution<M2>,
     tolerance: f64,
 ) -> Vec<Distinction> {
-    let mut out = Vec::new();
-    let n = a.node_count().min(b.node_count());
-    for node in 0..n {
-        let mut oa = a.observations(node);
-        let mut ob = b.observations(node);
-        canonicalize(&mut oa, node);
-        canonicalize(&mut ob, node);
-        if oa.len() != ob.len() {
-            out.push(Distinction {
-                node,
-                index: oa.len().min(ob.len()),
-                detail: DistinctionDetail::LengthMismatch {
-                    left: oa.len(),
-                    right: ob.len(),
-                },
-            });
-        }
-        for (index, ((hw_a, kind_a), (hw_b, kind_b))) in oa.iter().zip(ob.iter()).enumerate() {
-            if kind_a != kind_b {
-                out.push(Distinction {
-                    node,
-                    index,
-                    detail: DistinctionDetail::KindMismatch {
-                        left: kind_a.clone(),
-                        right: kind_b.clone(),
-                    },
-                });
-            } else if (hw_a - hw_b).abs() > tolerance {
-                out.push(Distinction {
-                    node,
-                    index,
-                    detail: DistinctionDetail::HwMismatch {
-                        left: *hw_a,
-                        right: *hw_b,
-                    },
-                });
-            }
-        }
-    }
-    out
+    compare(a, b, tolerance, false)
 }
 
 /// True if `a` and `b` are indistinguishable to every node (hardware
@@ -153,46 +224,7 @@ pub fn prefix_distinctions<M1, M2>(
     full: &Execution<M2>,
     tolerance: f64,
 ) -> Vec<Distinction> {
-    let mut out = Vec::new();
-    let n = prefix.node_count().min(full.node_count());
-    for node in 0..n {
-        let mut op = prefix.observations(node);
-        let mut of = full.observations(node);
-        canonicalize(&mut op, node);
-        canonicalize(&mut of, node);
-        if op.len() > of.len() {
-            out.push(Distinction {
-                node,
-                index: of.len(),
-                detail: DistinctionDetail::LengthMismatch {
-                    left: op.len(),
-                    right: of.len(),
-                },
-            });
-        }
-        for (index, ((hw_p, kind_p), (hw_f, kind_f))) in op.iter().zip(of.iter()).enumerate() {
-            if kind_p != kind_f {
-                out.push(Distinction {
-                    node,
-                    index,
-                    detail: DistinctionDetail::KindMismatch {
-                        left: kind_p.clone(),
-                        right: kind_f.clone(),
-                    },
-                });
-            } else if (hw_p - hw_f).abs() > tolerance {
-                out.push(Distinction {
-                    node,
-                    index,
-                    detail: DistinctionDetail::HwMismatch {
-                        left: *hw_p,
-                        right: *hw_f,
-                    },
-                });
-            }
-        }
-    }
-    out
+    compare(prefix, full, tolerance, true)
 }
 
 #[cfg(test)]

@@ -43,6 +43,7 @@ use gcs_clocks::{DriftBound, RateSchedule, TimeWarp};
 use gcs_net::Topology;
 use gcs_sim::{Execution, MessageStatus};
 
+use crate::indist::NodeEvents;
 use crate::retiming::{Retiming, RetimingError, RetimingReport};
 
 /// Which fresh link to force skew onto, and an optional cap on the shift.
@@ -172,16 +173,16 @@ impl<M> FreshLinkOutcome<M> {
     #[must_use]
     pub fn replay_prefix_distinctions<M2>(&self, replayed: &Execution<M2>) -> usize {
         let cutoff = self.report.formation_beta - 1e-9;
+        let (predicted, actual) = (
+            NodeEvents::new(&self.transformed),
+            NodeEvents::new(replayed),
+        );
         let mut distinctions = 0;
         for node in 0..self.transformed.node_count() {
-            let prefix = self.transformed.observation_count_before(node, cutoff);
-            let op = self.transformed.observations(node);
-            let or = replayed.observations(node);
-            if or.len() < prefix {
-                distinctions += prefix - or.len();
-            }
-            for ((hw_p, kind_p), (hw_r, kind_r)) in op.iter().zip(or.iter()).take(prefix) {
-                if kind_p != kind_r || hw_p.to_bits() != hw_r.to_bits() {
+            let prefix = predicted.count_before(node, cutoff);
+            distinctions += prefix.saturating_sub(actual.of(node).len());
+            for (p, r) in predicted.of(node).zip(actual.of(node)).take(prefix) {
+                if p.kind != r.kind || p.hw.to_bits() != r.hw.to_bits() {
                     distinctions += 1;
                 }
             }
@@ -501,6 +502,7 @@ impl FreshLinkSkew {
         formation: f64,
         warped_formation: f64,
     ) -> usize {
+        let (ia, ib) = (NodeEvents::new(alpha), NodeEvents::new(beta));
         let mut distinctions = 0;
         for (node, &on_fast_side) in side_fast.iter().enumerate() {
             let cutoff = if on_fast_side {
@@ -508,14 +510,10 @@ impl FreshLinkSkew {
             } else {
                 warped_formation
             };
-            let prefix = alpha.observation_count_before(node, cutoff - self.tolerance);
-            let oa = alpha.observations(node);
-            let ob = beta.observations(node);
-            if ob.len() < prefix {
-                distinctions += prefix - ob.len();
-            }
-            for ((hw_a, kind_a), (hw_b, kind_b)) in oa.iter().zip(ob.iter()).take(prefix) {
-                if kind_a != kind_b || (hw_a - hw_b).abs() > self.tolerance {
+            let prefix = ia.count_before(node, cutoff - self.tolerance);
+            distinctions += prefix.saturating_sub(ib.of(node).len());
+            for (ea, eb) in ia.of(node).zip(ib.of(node)).take(prefix) {
+                if ea.kind != eb.kind || (ea.hw - eb.hw).abs() > self.tolerance {
                     distinctions += 1;
                 }
             }

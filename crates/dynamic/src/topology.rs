@@ -434,12 +434,32 @@ impl DynamicTopology {
     /// at `t1` with its current up-interval starting at or before `t0`.
     /// This is the delivery condition for a message sent at `t0` arriving
     /// at `t1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
     #[must_use]
     pub fn link_uninterrupted(&self, a: usize, b: usize, t0: f64, t1: f64) -> bool {
-        match self.link_formed_at(a, b, t1) {
-            Some(formed) => formed <= t0,
-            None => false,
-        }
+        self.tracked_link_uninterrupted(a, b, t0, t1)
+            .unwrap_or(false)
+    }
+
+    /// [`DynamicTopology::link_uninterrupted`] for a tracked pair, `None`
+    /// for an untracked one (see [`DynamicTopology::link_tracked`]) — both
+    /// answers from one search of the tracked-pair list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
+    #[must_use]
+    pub fn tracked_link_uninterrupted(&self, a: usize, b: usize, t0: f64, t1: f64) -> Option<bool> {
+        let n = self.len();
+        assert!(a < n && b < n, "node index out of range");
+        let idx = self.pair_index(a, b)?;
+        Some(
+            self.formed_at_index(idx, t1)
+                .is_some_and(|formed| formed <= t0),
+        )
     }
 
     /// The live edges `(a, b)` with `a < b` at time `t`, ascending.
@@ -526,6 +546,13 @@ mod tests {
         assert!(!d.link_uninterrupted(0, 1, 9.0, 11.0)); // down at arrival
         assert!(!d.link_uninterrupted(0, 1, 9.0, 21.0)); // re-formed after send
         assert!(d.link_uninterrupted(0, 1, 20.5, 21.0)); // inside new interval
+                                                         // The one-lookup form agrees on tracked pairs and tells an
+                                                         // untracked pair apart from a down link.
+        assert_eq!(d.tracked_link_uninterrupted(0, 1, 5.0, 9.0), Some(true));
+        assert_eq!(d.tracked_link_uninterrupted(1, 0, 9.0, 11.0), Some(false));
+        assert_eq!(d.tracked_link_uninterrupted(0, 1, 9.0, 21.0), Some(false));
+        assert_eq!(d.tracked_link_uninterrupted(0, 2, 5.0, 9.0), None);
+        assert!(!d.link_uninterrupted(0, 2, 5.0, 9.0));
     }
 
     #[test]

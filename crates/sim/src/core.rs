@@ -2,8 +2,8 @@
 //!
 //! A [`Core`] owns one event queue and everything a dispatched event
 //! touches: the nodes of a contiguous id range with their live neighbor
-//! sets and timer counters, the clock and delay handles, the message
-//! log, and the per-pair send sequence numbers. The single-heap engine
+//! sets, timer counters and per-receiver send sequence counters, the
+//! clock and delay handles, and the message log. The single-heap engine
 //! ([`crate::Simulation`]) runs one core over every node on a
 //! `BinaryHeap`; the sharded engine ([`crate::ShardedSimulation`]) runs
 //! one core per shard on a [`CalendarQueue`], with forked clock and delay
@@ -11,13 +11,19 @@
 //! and the tracer at compile time, so the per-event path calls through
 //! no trait object beyond the node, clock and delay ones it always had.
 //!
+//! Queue entries are 32-byte `Copy` [`Queued`] values that decide their
+//! `(time, tie_key)` order from their own fields. Payloads and arrival
+//! readings stay in the message log, or in the inbox for a cross-shard
+//! delivery, and dispatch reads them from there: a heap with millions of
+//! entries moves four words per sift step.
+//!
 //! The module also holds what both engines' coordinators share in
 //! [`Run`]: build validation ([`resolve`]), the probe grid with its
 //! streaming compaction, observer notification, and finalization with
 //! in-flight reconciliation.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use gcs_clocks::{ClockSource, EagerSchedule, PiecewiseLinear, RateSchedule};
 use gcs_dynamic::DynamicTopology;
@@ -48,11 +54,12 @@ impl Env {
     /// timeline is known in advance, so the drop resolves
     /// deterministically. Untracked pairs (direct sends outside the
     /// communication graph, e.g. tree-sync probes to a distant source)
-    /// keep the static always-deliver semantics.
+    /// keep the static always-deliver semantics. One pair lookup per
+    /// call: this runs on every due delivery.
     fn link_drops(&self, from: NodeId, to: NodeId, sent: f64, until: f64) -> bool {
         match &self.dynamic {
             Some(view) if self.drop_on_link_down => {
-                view.link_tracked(from, to) && !view.link_uninterrupted(from, to, sent, until)
+                view.tracked_link_uninterrupted(from, to, sent, until) == Some(false)
             }
             _ => false,
         }
@@ -67,6 +74,7 @@ type Resolved = (Run, Box<dyn ClockSource>, Box<dyn DelayPolicy>);
 /// delay policy, bound to the topology.
 pub(crate) fn resolve(builder: SimulationBuilder, nodes: usize) -> Result<Resolved, SimError> {
     let n = builder.topology.len();
+    check_node_count(n)?;
     if nodes != n {
         return Err(SimError::NodeCount {
             expected: n,
@@ -123,21 +131,49 @@ pub(crate) fn event_cap_exceeded(cap: u64, time: f64) -> ! {
     )
 }
 
-/// A queued (not yet dispatched) event.
-///
-/// Deliveries carry a slot index instead of the payload, so the queue
-/// needs no message type parameter and every entry has the same size.
-pub(crate) struct Queued {
-    pub(crate) time: f64,
-    /// Per-core monotonic tie-breaker. Only consulted when two events
-    /// share `(time, tie_key)`, which distinct events never do.
-    pub(crate) tie: u64,
-    pub(crate) node: NodeId,
-    pub(crate) hw: f64,
-    pub(crate) kind: QueuedKind,
+/// Node ids must stay below this bound: [`Queued`] packs a node and a
+/// sender or peer id into 31 bits each.
+pub(crate) const MAX_NODES: usize = 1 << 31;
+
+/// Rejects a node count whose ids do not fit the packed queue entry.
+pub(crate) fn check_node_count(nodes: usize) -> Result<(), SimError> {
+    if nodes <= MAX_NODES {
+        Ok(())
+    } else {
+        Err(SimError::TooManyNodes {
+            nodes,
+            max: MAX_NODES,
+        })
+    }
 }
 
+/// A queued (not yet dispatched) event, packed into 32 bytes.
+///
+/// The entry alone decides the dispatch order `(time, tie_key)`: `key`
+/// and `sub` hold [`EventKind::tie_key`] in an order-preserving form, so
+/// no comparison reads the message log. `body` carries what dispatch
+/// needs beyond the order: a delivery's message slot, or a timer's
+/// hardware target. A delivery's arrival reading is not stored; dispatch
+/// reads it from the message record or the inbox. Distinct events never
+/// share `(time, tie_key)` — a delivery is unique by `(from, seq)`, a
+/// timer by its per-node id, a link change by `(peer, up)` — so no
+/// insertion counter is needed.
 #[derive(Clone, Copy)]
+pub(crate) struct Queued {
+    pub(crate) time: f64,
+    /// `node << 33 | rank << 31 | x`, where `rank` is the tie key's kind
+    /// rank and `x` the sender (delivery) or peer (link change), else 0.
+    key: u64,
+    /// The rest of the tie key: the sequence number (delivery), the timer
+    /// id, or the `up` bit (link change); 0 for a start.
+    sub: u64,
+    /// `slot << 1 | handoff` for a delivery, the target reading's bits
+    /// for a timer, 0 otherwise.
+    body: u64,
+}
+
+/// The decoded form of a [`Queued`] entry.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum QueuedKind {
     Start,
     /// Delivery of a message held in this core's log.
@@ -153,8 +189,10 @@ pub(crate) enum QueuedKind {
         seq: u64,
         slot: usize,
     },
+    /// A timer firing when the node's hardware clock reads `hw`.
     Timer {
         id: TimerId,
+        hw: f64,
     },
     TopoChange {
         peer: NodeId,
@@ -170,24 +208,75 @@ impl QueuedKind {
             QueuedKind::Deliver { from, seq, .. } | QueuedKind::Handoff { from, seq, .. } => {
                 EventKind::Deliver { from, seq }
             }
-            QueuedKind::Timer { id } => EventKind::Timer { id },
+            QueuedKind::Timer { id, .. } => EventKind::Timer { id },
             QueuedKind::TopoChange { peer, up } => EventKind::TopologyChange { peer, up },
         }
     }
 }
 
+/// The low 31 bits of [`Queued::key`]: a sender or peer id.
+const ID_MASK: u64 = (1 << 31) - 1;
+
 impl Queued {
-    /// Canonical ordering key for simultaneous events: the one
-    /// [`EventKind::tie_key`], shared with the retiming engine, so replays
-    /// of re-timed executions stay order-identical to their predictions.
-    fn tie_key(&self) -> (NodeId, u8, u64, u64) {
-        self.kind.record_kind().tie_key(self.node)
+    /// Packs an event at `node`. Node, sender and peer ids must be below
+    /// [`MAX_NODES`], which [`resolve`] checks at build.
+    pub(crate) fn new(time: f64, node: NodeId, kind: QueuedKind) -> Self {
+        debug_assert!(node < MAX_NODES);
+        let (rank, x, sub, body) = match kind {
+            QueuedKind::Start => (0, 0, 0, 0),
+            QueuedKind::Deliver {
+                from,
+                seq,
+                msg_index,
+            } => (1, from, seq, (msg_index as u64) << 1),
+            QueuedKind::Handoff { from, seq, slot } => (1, from, seq, (slot as u64) << 1 | 1),
+            QueuedKind::Timer { id, hw } => (2, 0, id, hw.to_bits()),
+            QueuedKind::TopoChange { peer, up } => (3, peer, u64::from(up), 0),
+        };
+        debug_assert!(x < MAX_NODES);
+        Self {
+            time,
+            key: (node as u64) << 33 | rank << 31 | x as u64,
+            sub,
+            body,
+        }
+    }
+
+    /// The node the event happens at.
+    pub(crate) fn node(&self) -> NodeId {
+        (self.key >> 33) as NodeId
+    }
+
+    /// Decodes the event.
+    pub(crate) fn kind(&self) -> QueuedKind {
+        let x = (self.key & ID_MASK) as NodeId;
+        match (self.key >> 31) & 3 {
+            0 => QueuedKind::Start,
+            1 if self.body & 1 == 0 => QueuedKind::Deliver {
+                from: x,
+                seq: self.sub,
+                msg_index: (self.body >> 1) as usize,
+            },
+            1 => QueuedKind::Handoff {
+                from: x,
+                seq: self.sub,
+                slot: (self.body >> 1) as usize,
+            },
+            2 => QueuedKind::Timer {
+                id: self.sub,
+                hw: f64::from_bits(self.body),
+            },
+            _ => QueuedKind::TopoChange {
+                peer: x,
+                up: self.sub != 0,
+            },
+        }
     }
 }
 
 impl PartialEq for Queued {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.tie == other.tie
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for Queued {}
@@ -207,8 +296,7 @@ impl Ord for Queued {
             .time
             .partial_cmp(&self.time)
             .unwrap_or_else(|| other.time.total_cmp(&self.time))
-            .then_with(|| other.tie_key().cmp(&self.tie_key()))
-            .then_with(|| other.tie.cmp(&self.tie))
+            .then_with(|| (other.key, other.sub).cmp(&(self.key, self.sub)))
     }
 }
 
@@ -264,15 +352,15 @@ pub(crate) trait Parts<M> {
 pub(crate) struct Handoff<M> {
     pub(crate) from: NodeId,
     pub(crate) to: NodeId,
-    pub(crate) seq: u64,
+    seq: u64,
     pub(crate) arrival_time: f64,
-    arrival_hw: f64,
     message: Inbound<M>,
 }
 
 /// A cross-shard message waiting in the receiving core's inbox.
 struct Inbound<M> {
     send_time: f64,
+    arrival_hw: f64,
     /// `(shard index, message slot)` in the sender's log.
     owner: (usize, usize),
     payload: M,
@@ -349,10 +437,12 @@ pub(crate) struct Core<M, P: Parts<M>> {
     neighbors: Vec<Vec<NodeId>>,
     next_timer: Vec<TimerId>,
     pub(crate) queue: P::Queue,
-    tie: u64,
     pub(crate) clock: Box<P::Clock>,
     delay: Box<P::Delay>,
-    send_seq: HashMap<(NodeId, NodeId), u64>,
+    /// Per owned sender, `(receiver, next sequence number)` for every
+    /// receiver it has sent to, sorted by receiver: O(degree) per node,
+    /// and sends outside the neighbor lists take the same path.
+    send_seq: Vec<Vec<(NodeId, u64)>>,
     pub(crate) messages: Vec<MessageRecord<M>>,
     /// Recycled message slots (streaming mode): a delivered or dropped
     /// message's slot is reused by a later send, bounding the log by the
@@ -406,13 +496,12 @@ impl<M, P: Parts<M>> Core<M, P> {
             index,
             lo,
             next_timer: vec![0; nodes.len()],
+            send_seq: vec![Vec::new(); nodes.len()],
             nodes,
             neighbors,
             queue: P::Queue::default(),
-            tie: 0,
             clock,
             delay,
-            send_seq: HashMap::new(),
             messages: Vec::new(),
             free_slots: Vec::new(),
             msg_keys: keyed.then(Vec::new),
@@ -441,16 +530,8 @@ impl<M, P: Parts<M>> Core<M, P> {
     }
 
     /// Enqueues an event, maintaining the queue-depth high-water mark.
-    fn push(&mut self, time: f64, node: NodeId, hw: f64, kind: QueuedKind) {
-        let tie = self.tie;
-        self.tie += 1;
-        self.queue.push(Queued {
-            time,
-            tie,
-            node,
-            hw,
-            kind,
-        });
+    fn push(&mut self, time: f64, node: NodeId, kind: QueuedKind) {
+        self.queue.push(Queued::new(time, node, kind));
         self.peak_queued_events = self.peak_queued_events.max(self.queue.len());
     }
 
@@ -460,17 +541,16 @@ impl<M, P: Parts<M>> Core<M, P> {
     /// stops simply never dispatch.
     pub(crate) fn enqueue_start(&mut self, env: &Env) {
         for node in self.lo..self.lo + self.len() {
-            self.push(0.0, node, 0.0, QueuedKind::Start);
+            self.push(0.0, node, QueuedKind::Start);
         }
-        // The hardware reading of a link change is computed at dispatch
-        // (the queue never orders on it), so enqueuing the whole churn
-        // timeline does not force a lazy clock source to materialize its
-        // walk out to the last change.
+        // The hardware reading of a link change is computed at dispatch,
+        // so enqueuing the whole churn timeline does not force a lazy
+        // clock source to materialize its walk out to the last change.
         let changes = env.dynamic.iter().flat_map(DynamicTopology::edge_changes);
         for c in changes {
             for (node, peer, up) in [(c.a, c.b, c.up), (c.b, c.a, c.up)] {
                 if self.owns(node) {
-                    self.push(c.time, node, f64::NAN, QueuedKind::TopoChange { peer, up });
+                    self.push(c.time, node, QueuedKind::TopoChange { peer, up });
                 }
             }
         }
@@ -495,7 +575,7 @@ impl<M, P: Parts<M>> Core<M, P> {
             seq: h.seq,
             slot,
         };
-        self.push(h.arrival_time, h.to, h.arrival_hw, kind);
+        self.push(h.arrival_time, h.to, kind);
     }
 }
 
@@ -511,31 +591,27 @@ impl<M: Clone, P: Parts<M>> Core<M, P> {
         env: &Env,
         trajectories: &mut [PiecewiseLinear],
     ) -> Result<Dispatch, SimError> {
-        let Queued {
-            time,
-            node,
-            hw,
-            kind,
-            ..
-        } = ev;
+        let (time, node, kind) = (ev.time, ev.node(), ev.kind());
         let local = node - self.lo;
-        // Topology changes enqueue with a placeholder reading (see
-        // `enqueue_start`); resolve it now, at dispatch.
-        let hw = if matches!(kind, QueuedKind::TopoChange { .. }) {
-            self.clock.value_at(node, time)
-        } else {
-            hw
+        // The hardware reading at the event: fixed at start, the target
+        // of a timer, the arrival reading held with a delivery's message,
+        // and read from the clock now for a link change (see
+        // `enqueue_start`).
+        let (sent, hw) = match kind {
+            QueuedKind::Start => (f64::NAN, 0.0),
+            QueuedKind::Deliver { msg_index, .. } => {
+                let m = &self.messages[msg_index];
+                (m.send_time, m.arrival_hw.unwrap_or(f64::NAN))
+            }
+            QueuedKind::Handoff { slot, .. } => self.inbox[slot]
+                .as_ref()
+                .map_or((f64::NAN, f64::NAN), |m| (m.send_time, m.arrival_hw)),
+            QueuedKind::Timer { hw, .. } => (f64::NAN, hw),
+            QueuedKind::TopoChange { .. } => (f64::NAN, self.clock.value_at(node, time)),
         };
 
         // A due delivery whose tracked link went down in flight is
         // dropped before any callback runs.
-        let sent = match kind {
-            QueuedKind::Deliver { msg_index, .. } => self.messages[msg_index].send_time,
-            QueuedKind::Handoff { slot, .. } => {
-                self.inbox[slot].as_ref().map_or(f64::NAN, |m| m.send_time)
-            }
-            _ => f64::NAN,
-        };
         if let QueuedKind::Deliver { from, seq, .. } | QueuedKind::Handoff { from, seq, .. } = kind
         {
             if env.link_drops(from, node, sent, time) {
@@ -607,7 +683,7 @@ impl<M: Clone, P: Parts<M>> Core<M, P> {
                     let payload = payload.expect("a delivery carries a payload");
                     target.on_message(&mut ctx, from, &payload);
                 }
-                QueuedKind::Timer { id } => target.on_timer(&mut ctx, id),
+                QueuedKind::Timer { id, .. } => target.on_timer(&mut ctx, id),
                 QueuedKind::TopoChange { peer, up } => {
                     target.on_topology_change(&mut ctx, peer, up);
                 }
@@ -637,7 +713,7 @@ impl<M: Clone, P: Parts<M>> Core<M, P> {
                         logical,
                     }
                 }
-                QueuedKind::Timer { id } => TraceEvent::TimerFired {
+                QueuedKind::Timer { id, .. } => TraceEvent::TimerFired {
                     time,
                     node,
                     id,
@@ -679,7 +755,7 @@ impl<M: Clone, P: Parts<M>> Core<M, P> {
                 f64::NAN
             };
             if fire_time.is_finite() {
-                self.push(fire_time, node, target_hw, QueuedKind::Timer { id });
+                self.push(fire_time, node, QueuedKind::Timer { id, hw: target_hw });
             } else {
                 err = Some(SimError::NonFiniteTimer { node, target_hw });
             }
@@ -730,9 +806,18 @@ impl<M: Clone, P: Parts<M>> Core<M, P> {
         hw: f64,
         key: MsgKey,
     ) -> Result<(), SimError> {
-        let seq_entry = self.send_seq.entry((from, to)).or_insert(0);
-        let seq = *seq_entry;
-        *seq_entry += 1;
+        let counters = &mut self.send_seq[from - self.lo];
+        let seq = match counters.binary_search_by_key(&to, |&(peer, _)| peer) {
+            Ok(i) => {
+                let next = &mut counters[i].1;
+                *next += 1;
+                *next - 1
+            }
+            Err(i) => {
+                counters.insert(i, (to, 1));
+                0
+            }
+        };
 
         let d = env.topology.distance(from, to);
         let non_finite = || SimError::NonFiniteDelay {
@@ -854,16 +939,16 @@ impl<M: Clone, P: Parts<M>> Core<M, P> {
                         seq,
                         msg_index,
                     };
-                    self.push(t, to, h, kind);
+                    self.push(t, to, kind);
                 }
                 Some(payload) => self.outbox.push(Handoff {
                     from,
                     to,
                     seq,
                     arrival_time: t,
-                    arrival_hw: h,
                     message: Inbound {
                         send_time: time,
+                        arrival_hw: h,
                         owner: (self.index, msg_index),
                         payload,
                     },
@@ -1050,5 +1135,113 @@ impl Run {
             env.dynamic,
         )
         .with_drop_in_flight(env.drop_on_link_down)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn queued_entries_fit_in_32_bytes() {
+        assert!(std::mem::size_of::<Queued>() <= 32);
+    }
+
+    #[test]
+    fn node_counts_past_the_packed_fields_are_typed_errors() {
+        assert_eq!(check_node_count(MAX_NODES), Ok(()));
+        assert_eq!(
+            check_node_count(MAX_NODES + 1),
+            Err(SimError::TooManyNodes {
+                nodes: MAX_NODES + 1,
+                max: MAX_NODES,
+            })
+        );
+    }
+
+    #[test]
+    fn handoffs_and_local_deliveries_order_by_sequence_alone() {
+        // Same receiver, sender and instant: only `seq` decides, whether
+        // the message waits in the log or in the inbox.
+        let deliver = Queued::new(
+            2.0,
+            5,
+            QueuedKind::Deliver {
+                from: 3,
+                seq: 7,
+                msg_index: 0,
+            },
+        );
+        let handoff = Queued::new(
+            2.0,
+            5,
+            QueuedKind::Handoff {
+                from: 3,
+                seq: 6,
+                slot: 9,
+            },
+        );
+        // Reversed: the earlier event compares greater.
+        assert_eq!(handoff.cmp(&deliver), Ordering::Greater);
+    }
+
+    /// An id from a few small values, which makes shared key prefixes
+    /// common, or the largest one the packing allows.
+    fn id(pick: u8) -> NodeId {
+        [0, 1, 2, MAX_NODES - 1][usize::from(pick % 4)]
+    }
+
+    /// A sequence number or timer id, small or extreme.
+    fn counter(pick: u8) -> u64 {
+        [0, 1, 2, u64::MAX][usize::from(pick % 4)]
+    }
+
+    /// A random event of any kind: `(time, node, kind)`. Times come from
+    /// a three-point grid, so equal times are common.
+    fn event() -> impl Strategy<Value = (f64, NodeId, QueuedKind)> {
+        (0u8..3, 0u8..4, 0u8..5, 0u8..4, 0u8..4, 0usize..1 << 40).prop_map(
+            |(t, node, rank, x, sub, slot)| {
+                let kind = match rank {
+                    0 => QueuedKind::Start,
+                    1 => QueuedKind::Deliver {
+                        from: id(x),
+                        seq: counter(sub),
+                        msg_index: slot,
+                    },
+                    2 => QueuedKind::Handoff {
+                        from: id(x),
+                        seq: counter(sub),
+                        slot,
+                    },
+                    3 => QueuedKind::Timer {
+                        id: counter(sub),
+                        hw: slot as f64 * 0.5 - 3.0,
+                    },
+                    _ => QueuedKind::TopoChange {
+                        peer: id(x),
+                        up: sub % 2 == 1,
+                    },
+                };
+                (f64::from(t) * 0.5, id(node), kind)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+        fn packed_entries_order_by_time_then_tie_key(a in event(), b in event()) {
+            let (qa, qb) = (Queued::new(a.0, a.1, a.2), Queued::new(b.0, b.1, b.2));
+            prop_assert_eq!((qa.node(), qa.kind()), (a.1, a.2));
+            prop_assert_eq!((qb.node(), qb.kind()), (b.1, b.2));
+            let key = |(time, node, kind): (f64, NodeId, QueuedKind)| {
+                (time, kind.record_kind().tie_key(node))
+            };
+            let ((ta, ka), (tb, kb)) = (key(a), key(b));
+            // Reversed, as both queues are max-first.
+            let expected = tb.total_cmp(&ta).then(kb.cmp(&ka));
+            prop_assert_eq!(qa.cmp(&qb), expected);
+        }
     }
 }

@@ -79,6 +79,14 @@ pub enum SimError {
         /// What the sharded engine could not accommodate.
         reason: String,
     },
+    /// The topology has more nodes than the engine's packed event queue
+    /// can address.
+    TooManyNodes {
+        /// Nodes in the topology.
+        nodes: usize,
+        /// The largest supported node count.
+        max: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -116,6 +124,9 @@ impl fmt::Display for SimError {
             }
             SimError::ShardUnsupported { reason } => {
                 write!(f, "sharded engine cannot run this configuration: {reason}")
+            }
+            SimError::TooManyNodes { nodes, max } => {
+                write!(f, "{nodes} nodes exceed the engine's limit of {max}")
             }
         }
     }
@@ -1177,6 +1188,51 @@ mod tests {
     }
 
     #[test]
+    fn direct_sends_number_each_pair_from_zero_on_every_engine() {
+        /// Every tick, node 0 sends to its non-neighbors 2 and 4, and
+        /// node 4 answers node 0; on two shards, 0 → 4 and 4 → 0 cross.
+        #[derive(Debug)]
+        struct FarTalker;
+        impl Node<u8> for FarTalker {
+            fn on_start(&mut self, ctx: &mut Context<'_, u8>) {
+                ctx.set_timer(1.0);
+            }
+            fn on_timer(&mut self, ctx: &mut Context<'_, u8>, _id: TimerId) {
+                match ctx.id() {
+                    0 => {
+                        ctx.send(2, 0);
+                        ctx.send(4, 0);
+                    }
+                    4 => ctx.send(0, 4),
+                    _ => {}
+                }
+                ctx.set_timer(1.0);
+            }
+            fn on_message(&mut self, _ctx: &mut Context<'_, u8>, _f: NodeId, _m: &u8) {}
+        }
+
+        let log = on_every_engine(|shards| {
+            let policy = Scripted {
+                outcome: |_| DelayOutcome::Delay(0.5),
+                lookahead: 0.5,
+            };
+            let builder = SimulationBuilder::new(Topology::line(5)).delay_policy(policy);
+            try_run(shards, builder, || FarTalker, 10.5)
+                .unwrap()
+                .messages()
+                .to_vec()
+        });
+        for pair in [(0, 2), (0, 4), (4, 0)] {
+            let seqs: Vec<u64> = log
+                .iter()
+                .filter(|m| (m.from, m.to) == pair)
+                .map(|m| m.seq)
+                .collect();
+            assert_eq!(seqs, (0..10).collect::<Vec<u64>>(), "pair {pair:?}");
+        }
+    }
+
+    #[test]
     fn topology_changes_are_dispatched_and_update_neighbors() {
         use gcs_dynamic::{ChurnSchedule, DynamicTopology};
 
@@ -1404,13 +1460,7 @@ mod tests {
     fn queue_ordering_is_total_even_with_nan_times() {
         // The heap comparator must never panic or violate totality, even
         // if a NaN time were to slip past the typed-error gates.
-        let ev = |time: f64, tie: u64| Queued {
-            time,
-            tie,
-            node: 0,
-            hw: 0.0,
-            kind: QueuedKind::Start,
-        };
+        let ev = |time: f64, node: NodeId| Queued::new(time, node, QueuedKind::Start);
         let a = ev(f64::NAN, 0);
         let b = ev(1.0, 1);
         let c = ev(f64::NAN, 2);

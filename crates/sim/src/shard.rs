@@ -465,14 +465,8 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
             merged.append(&mut shard.records);
         }
 
-        // Sorting by a key unique per handoff keeps each receiving
-        // shard's tie counter independent of the shard count.
-        handoffs.sort_by(|a, b| {
-            let key = |h: &Handoff<M>| (h.from, h.to, h.seq);
-            a.arrival_time
-                .total_cmp(&b.arrival_time)
-                .then(key(a).cmp(&key(b)))
-        });
+        // Routing order is free: a queue entry's order is fixed by its
+        // own `(time, tie_key)`, not by when it was pushed.
         for h in handoffs {
             assert!(
                 h.arrival_time >= end,
