@@ -23,8 +23,10 @@
 //!
 //! Three row families are measured outside the tracked list:
 //!
-//! - `profile/*`: per-phase engine timings, informational (absent from
-//!   the baseline ⇒ never gated).
+//! - `profile/streaming_ring32_200t/*`: per-phase wall-clock medians of
+//!   a profiled streaming run. The baseline carries all five phases, so
+//!   the checker gates them at the common tolerance like any tracked
+//!   row.
 //! - `engine/sharded_rgg100k_k2_ns_per_event`: the sharded engine at
 //!   E15 scale, reported as ns per dispatched event; one run costs
 //!   seconds, so it takes at most two samples and no warm-up.
@@ -74,9 +76,8 @@ fn measure(run: fn() -> u64, samples: usize) -> f64 {
 }
 
 /// Per-phase medians of the profiled reference workload, as
-/// `profile/<workload>/<phase>` rows. Informational: the gate checker
-/// treats ids absent from the baseline as "new", never as regressions,
-/// so these rows ride along without being gated.
+/// `profile/<workload>/<phase>` rows. Every phase has a baseline row, so
+/// `check` gates them like the tracked rows.
 const PROFILE_PHASES: [&str; 5] = ["run", "dispatch", "observer", "probe", "clock"];
 
 fn profile_id(phase: &str) -> String {
@@ -197,9 +198,16 @@ fn emit_report(filter: Option<&str>, samples: usize) -> String {
         );
     }
     assert!(!rows.is_empty(), "filter matched no tracked benchmark");
+    for (id, median) in &rows {
+        eprintln!("{id:<44} median {median:>12.0} ns");
+    }
+    render_report(&rows, samples)
+}
+
+/// The flat report format [`parse_report`] reads back.
+fn render_report(rows: &[(String, f64)], samples: usize) -> String {
     let mut body = String::new();
     for (i, (id, median)) in rows.iter().enumerate() {
-        eprintln!("{id:<44} median {median:>12.0} ns");
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(body, "    \"{id}\": {{\"median_ns\": {median:.1}}}{comma}");
     }
@@ -349,5 +357,58 @@ fn main() {
             std::fs::write(path, &report).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
             eprintln!("wrote {path}");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Runs `check` at 25% tolerance on two reports written to temp files
+    /// (named after `tag`, so parallel tests do not collide).
+    fn gate(tag: &str, baseline: &[(&str, f64)], current: &[(&str, f64)]) -> i32 {
+        let write = |side: &str, rows: &[(&str, f64)]| {
+            let rows: Vec<(String, f64)> = rows.iter().map(|&(id, ns)| (id.into(), ns)).collect();
+            let path = std::env::temp_dir().join(format!(
+                "bench_json_{}_{tag}_{side}.json",
+                std::process::id()
+            ));
+            std::fs::write(&path, render_report(&rows, 7)).expect("write temp report");
+            path.to_string_lossy().into_owned()
+        };
+        let (base, cur) = (write("base", baseline), write("cur", current));
+        let code = check(&base, &cur, 0.25);
+        let _ = std::fs::remove_file(base);
+        let _ = std::fs::remove_file(cur);
+        code
+    }
+
+    #[test]
+    fn a_row_30_percent_slower_fails_and_20_percent_slower_passes() {
+        let base = [("core/add_skew_line64", 1000.0), ("substrate/x", 500.0)];
+        let slower = |ns| [("core/add_skew_line64", ns), ("substrate/x", 500.0)];
+        assert_eq!(gate("slower30", &base, &slower(1300.0)), 1);
+        assert_eq!(gate("slower20", &base, &slower(1200.0)), 0);
+    }
+
+    #[test]
+    fn a_baseline_row_missing_from_the_report_fails() {
+        let base = [("core/add_skew_line64", 1000.0), ("substrate/x", 500.0)];
+        assert_eq!(gate("missing", &base, &[("substrate/x", 500.0)]), 1);
+        // The converse — a row the baseline lacks — is reported, not gated.
+        assert_eq!(gate("new", &base[1..], &base), 0);
+    }
+
+    #[test]
+    fn loopback_rows_are_judged_at_the_widened_tolerance() {
+        let id = "serving/loopback_read_p99_ns";
+        assert!(id.starts_with(LOOPBACK_PREFIX));
+        let base = [(id, 1000.0)];
+        // 250% slower: far past 25%, inside the loopback band.
+        assert_eq!(gate("loopback250", &base, &[(id, 3500.0)]), 0);
+        assert_eq!(gate("loopback350", &base, &[(id, 4500.0)]), 1);
+        // An in-process row gets no such allowance.
+        let seal = "serving/seal_ring16_200t";
+        assert_eq!(gate("inproc250", &[(seal, 1000.0)], &[(seal, 3500.0)]), 1);
     }
 }

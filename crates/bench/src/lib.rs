@@ -1,30 +1,20 @@
-//! Criterion benchmarks for the gradient clock synchronization workspace,
-//! plus the machine-readable bench harness the CI performance gate runs.
+//! The gradient clock synchronization workspace's benchmark harness: the
+//! workload bodies, the tracked rows, and the `bench_json` binary that
+//! measures them and gates CI on them.
 //!
-//! The `benches/` directory holds the human-facing Criterion suites:
-//!
-//! - `experiments`: regenerates each paper experiment (E1–E10) end to end.
-//! - `substrate`: simulator event throughput, schedule arithmetic, skew
-//!   analysis, and eager-vs-lazy drift sources.
-//! - `lower_bound`: the Add Skew transformation, exact replay, and full
-//!   main-theorem constructions.
-//! - `dynamic`: the engine's dynamic-neighbor hot path (churned vs. static
-//!   runs) and `DynamicTopology` epoch lookups.
-//! - `observers`: streaming vs. recorded metric runs.
-//!
-//! Run with `cargo bench --workspace`.
-//!
-//! # The CI performance gate
-//!
-//! [`workloads`] holds the benchmark bodies shared between the Criterion
-//! suites and the `bench_json` binary; [`tracked`] names the subset CI
-//! tracks. The gate works like golden snapshots, but for time:
+//! [`workloads`] holds the benchmark bodies; [`tracked`] names the rows
+//! `bench_json` measures, one `suite/name` id each (`substrate/*`,
+//! `engine/*`, `core/*`, `retiming/*`, `serving/*`, ...). The gate works
+//! like golden snapshots, but for time:
 //!
 //! ```text
-//! # measure (quick mode) and emit machine-readable medians
+//! # measure one family (any id substring) and print the report
+//! cargo run --release -p gcs-bench --bin bench_json -- --filter core/ --out -
+//!
+//! # measure every row (quick mode) and emit machine-readable medians
 //! cargo run --release -p gcs-bench --bin bench_json -- --out BENCH_PR10.json
 //!
-//! # fail if any tracked benchmark regressed >25% against the baseline
+//! # fail if any baseline row regressed >25% (or is missing)
 //! cargo run --release -p gcs-bench --bin bench_json -- \
 //!     --check BENCH_baseline.json BENCH_PR10.json --tolerance 0.25
 //!
@@ -36,14 +26,15 @@
 #![warn(missing_docs)]
 
 pub mod workloads {
-    //! Benchmark workload bodies, shared by the Criterion suites under
-    //! `benches/` and the `bench_json` CI harness — one definition, so
-    //! the interactive numbers and the gated numbers measure the same
-    //! code.
+    //! Benchmark workload bodies: one iteration of each tracked row.
 
     use gcs_algorithms::AlgorithmKind;
     use gcs_clocks::{drift::DriftModel, DriftBound, LazyDriftSource, RateSchedule, TimeWarp};
-    use gcs_core::lower_bound::{MainTheorem, MainTheoremConfig};
+    use gcs_core::lower_bound::bounded_increase::{SpeedUp, SpeedUpOutcome};
+    use gcs_core::lower_bound::{
+        AddSkew, AddSkewOutcome, AddSkewParams, MainTheorem, MainTheoremConfig,
+    };
+    use gcs_core::replay::{nominal_fallback, replay_execution};
     use gcs_core::retiming::{Retiming, RetimingReport};
     use gcs_dynamic::{ChurnSchedule, DynamicTopology};
     use gcs_net::{Topology, UniformDelay};
@@ -103,8 +94,8 @@ pub mod workloads {
     }
 
     /// The streaming metric run with the engine's wall-clock phase
-    /// profiler armed — the source of the informational `profile/*`
-    /// rows in `bench_json`. Returns the per-phase report.
+    /// profiler armed — the source of the `profile/*` rows in
+    /// `bench_json`. Returns the per-phase report.
     ///
     /// # Panics
     ///
@@ -331,8 +322,7 @@ pub mod workloads {
     /// replayed prefix checked for exactness. Returns the number of rounds.
     #[must_use]
     pub fn main_theorem_run(n: usize) -> usize {
-        let rho = DriftBound::new(0.5).expect("valid rho");
-        let report = MainTheorem::new(MainTheoremConfig::practical(n, rho))
+        let report = MainTheorem::new(MainTheoremConfig::practical(n, lower_bound_rho()))
             .run(|id, nn| AlgorithmKind::Max { period: 1.0 }.build(id, nn))
             .expect("the construction runs");
         assert!(
@@ -352,6 +342,82 @@ pub mod workloads {
             .build_with(|id, nn| AlgorithmKind::Max { period: 1.0 }.build(id, nn))
             .unwrap()
             .execute_until(horizon)
+    }
+
+    /// The drift bound of the lower-bound workloads (ρ = 0.5, as in the
+    /// paper-pipeline experiments E3–E5).
+    fn lower_bound_rho() -> DriftBound {
+        DriftBound::new(0.5).expect("valid rho")
+    }
+
+    /// Lemma 6.1's Add Skew on a nominal line of `n` nodes: a nominal
+    /// max-sync run just long enough for the end-to-end window (`τ·(n-1)`),
+    /// then `AddSkew::apply` between the two ends of the line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the transformation rejects the nominal run (a
+    /// `gcs-core` bug: the run meets the lemma's preconditions).
+    #[must_use]
+    pub fn add_skew_line(n: usize) -> AddSkewOutcome<gcs_algorithms::SyncMsg> {
+        let rho = lower_bound_rho();
+        let alpha = nominal_line_run(n, rho.tau() * (n as f64 - 1.0));
+        AddSkew::new(rho)
+            .apply(&alpha, AddSkewParams::suffix(0, n - 1))
+            .expect("the nominal run admits Add Skew")
+    }
+
+    /// [`add_skew_line`] followed by the exact replay of the transformed
+    /// execution, extended 10 time units past its horizon under the
+    /// nominal delay fallback — the replay step of each main-theorem
+    /// round. Returns the replayed execution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the replay fails (an engine or `gcs-core` bug).
+    #[must_use]
+    pub fn replay_extend_line(n: usize) -> Execution<gcs_algorithms::SyncMsg> {
+        let beta = add_skew_line(n).transformed;
+        replay_execution(
+            &beta,
+            beta.horizon() + 10.0,
+            nominal_fallback(beta.topology()),
+            |id, nn| AlgorithmKind::Max { period: 1.0 }.build(id, nn),
+        )
+        .expect("the transformed execution replays")
+    }
+
+    /// Lemma 7.1's speed-up, as in E4: a max-sync run on a line of `n`
+    /// whose hardware rates spread over `[1, 1+ρ/2]` (the lemma's
+    /// preconditions), then `SpeedUp::apply` at the middle node with the
+    /// window ending at 60% of the horizon.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the transformation rejects the run or produces an
+    /// invalid execution (a `gcs-core` bug).
+    #[must_use]
+    pub fn bounded_increase_line(
+        n: usize,
+        horizon: f64,
+    ) -> SpeedUpOutcome<gcs_algorithms::SyncMsg> {
+        let rho = lower_bound_rho();
+        let schedules = (0..n)
+            .map(|i| RateSchedule::constant(1.0 + rho.rho() / 2.0 * (i as f64 / (n - 1) as f64)))
+            .collect();
+        let alpha = SimulationBuilder::new(Topology::line(n))
+            .schedules(schedules)
+            .build_with(|id, nn| AlgorithmKind::Max { period: 1.0 }.build(id, nn))
+            .unwrap()
+            .execute_until(horizon);
+        let outcome = SpeedUp::new(rho)
+            .apply(&alpha, n / 2, (horizon * 0.6).max(rho.tau()))
+            .expect("the run meets Lemma 7.1's preconditions");
+        assert!(
+            outcome.report.validation.is_valid(),
+            "the sped-up execution left the model"
+        );
+        outcome
     }
 
     /// A nominal-rate max-sync run on a churning ring (one edge flapping)
@@ -674,6 +740,27 @@ pub mod tracked {
                 },
             },
             TrackedBench {
+                id: "core/add_skew_line64",
+                run: || {
+                    std::hint::black_box(workloads::add_skew_line(64));
+                    1
+                },
+            },
+            TrackedBench {
+                id: "core/bounded_increase_line32_120t",
+                run: || {
+                    std::hint::black_box(workloads::bounded_increase_line(32, 120.0));
+                    1
+                },
+            },
+            TrackedBench {
+                id: "core/replay_extend_line32",
+                run: || {
+                    std::hint::black_box(workloads::replay_extend_line(32));
+                    1
+                },
+            },
+            TrackedBench {
                 id: "retiming/static_apply_validate_line32_200t",
                 run: || {
                     let exec = workloads::nominal_line_run(32, 200.0);
@@ -718,6 +805,17 @@ pub mod tracked {
             ids.sort_unstable();
             ids.dedup();
             assert_eq!(ids.len(), benches.len(), "duplicate tracked bench id");
+        }
+
+        #[test]
+        fn paper_pipeline_workloads_hold_at_small_scale() {
+            let outcome = workloads::add_skew_line(8);
+            assert!(outcome.report.validation.is_valid());
+            assert!(outcome.report.gain >= outcome.report.guaranteed_gain - 1e-9);
+            let replayed = workloads::replay_extend_line(8);
+            assert!(replayed.horizon() > outcome.transformed.horizon());
+            let sped = workloads::bounded_increase_line(8, 40.0);
+            assert!(sped.report.logical_advance > 0.0);
         }
 
         #[test]

@@ -60,7 +60,7 @@ pub use table::Table;
 
 /// How much work an experiment should do.
 ///
-/// `Quick` keeps unit/integration tests and Criterion warm-up fast; `Full`
+/// `Quick` keeps unit/integration tests and CI smoke runs fast; `Full`
 /// is the configuration the recorded results in `EXPERIMENTS.md` use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {

@@ -285,7 +285,9 @@ mod tests {
     use std::cmp::Ordering;
 
     /// Earliest-first test item mirroring the engine's event comparator:
-    /// time (reversed), then a tie key, then an insertion counter.
+    /// time (reversed), then the canonical tie key. Distinct engine events
+    /// never share `(time, key)`; `tie` is a test-only disambiguator that
+    /// gives generated duplicates a total order.
     #[derive(Debug, Clone, PartialEq)]
     struct Item {
         time: f64,

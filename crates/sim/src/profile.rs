@@ -10,9 +10,10 @@
 //! Profiling measures *wall-clock* time and therefore lives strictly
 //! outside the deterministic surface: it never touches event order,
 //! recorded data, or traces, and the unprofiled path costs one
-//! `Option` branch per event. `bench_json` surfaces these numbers
-//! (informational, ungated) so optimization work starts from a
-//! measured profile.
+//! `Option` branch per event. `bench_json` reports these numbers as
+//! the `profile/streaming_ring32_200t/*` rows, which the committed
+//! baseline gates like any other row, so optimization work starts from
+//! a measured profile.
 
 use std::cell::Cell;
 use std::rc::Rc;

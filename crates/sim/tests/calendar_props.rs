@@ -13,7 +13,9 @@ use gcs_sim::{CalendarItem, CalendarQueue};
 use proptest::prelude::*;
 
 /// Mirrors the engine's queued event: reversed comparator (earliest time
-/// compares greatest), canonical key, insertion tie last.
+/// compares greatest), then the canonical tie key. Distinct engine events
+/// never share `(time, key)`; `tie` is a test-only disambiguator that
+/// gives generated duplicates a total order.
 #[derive(Debug, Clone, PartialEq)]
 struct Item {
     time: f64,
